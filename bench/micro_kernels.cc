@@ -27,6 +27,7 @@
 #include "common/random.hh"
 #include "common/table.hh"
 #include "driver/driver.hh"
+#include "driver/dataset_cache.hh"
 #include "driver/golden_cache.hh"
 #include "graph/generator.hh"
 #include "graph/preprocess.hh"
@@ -384,6 +385,7 @@ serveRequest(const perf::RepOptions &rep, bool warm)
         if (!warm) {
             // Cache drops are part of the scenario, not overhead
             // worth excluding: the sort they force dominates anyway.
+            driver::clearDatasetCache();
             PlanCache::instance().clear();
             driver::clearGoldenCache();
         }

@@ -1,8 +1,10 @@
 #include "wcc.hh"
 
+#include <memory>
 #include <numeric>
 #include <unordered_set>
 
+#include "algorithms/golden_cache.hh"
 #include "common/logging.hh"
 
 namespace graphr
@@ -37,7 +39,7 @@ WccResult
 wcc(const CooGraph &graph)
 {
     GRAPHR_ASSERT(graph.numVertices() > 0, "empty graph");
-    const CooGraph sym = symmetrize(graph);
+    const std::shared_ptr<const CooGraph> sym = sharedSymmetrized(graph);
 
     WccResult result;
     result.labels.resize(graph.numVertices());
@@ -46,7 +48,7 @@ wcc(const CooGraph &graph)
     bool changed = true;
     while (changed) {
         changed = false;
-        for (const Edge &e : sym.edges()) {
+        for (const Edge &e : sym->edges()) {
             if (result.labels[e.src] < result.labels[e.dst]) {
                 result.labels[e.dst] = result.labels[e.src];
                 changed = true;

@@ -31,7 +31,8 @@ struct WccResult
     int iterations = 0;
 };
 
-/** Min-label propagation over the symmetrised graph. */
+/** Min-label propagation over the symmetrised graph (shared through
+ *  sharedSymmetrized(), algorithms/golden_cache.hh). */
 WccResult wcc(const CooGraph &graph);
 
 /**

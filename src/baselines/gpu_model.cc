@@ -1,7 +1,7 @@
 #include "gpu_model.hh"
 
 #include "algorithms/traversal.hh"
-#include "algorithms/wcc.hh"
+#include "algorithms/golden_cache.hh"
 #include "common/logging.hh"
 #include "graph/csr.hh"
 
@@ -151,9 +151,9 @@ GpuModel::runSssp(const CooGraph &graph, VertexId source)
 BaselineReport
 GpuModel::runWcc(const CooGraph &graph)
 {
-    const CooGraph sym = symmetrize(graph);
-    RelaxationSweep sweep = makeWccSweep(sym);
-    return gpuRelaxation(sym, sweep, "wcc", params_);
+    const std::shared_ptr<const CooGraph> sym = sharedSymmetrized(graph);
+    RelaxationSweep sweep = makeWccSweep(*sym);
+    return gpuRelaxation(*sym, sweep, "wcc", params_);
 }
 
 BaselineReport

@@ -1,7 +1,7 @@
 #include "pim_model.hh"
 
 #include "algorithms/traversal.hh"
-#include "algorithms/wcc.hh"
+#include "algorithms/golden_cache.hh"
 #include "common/logging.hh"
 #include "graph/csr.hh"
 
@@ -122,9 +122,9 @@ PimModel::runSssp(const CooGraph &graph, VertexId source)
 BaselineReport
 PimModel::runWcc(const CooGraph &graph)
 {
-    const CooGraph sym = symmetrize(graph);
-    RelaxationSweep sweep = makeWccSweep(sym);
-    return pimRelaxation(sym, sweep, "wcc", *this, params_);
+    const std::shared_ptr<const CooGraph> sym = sharedSymmetrized(graph);
+    RelaxationSweep sweep = makeWccSweep(*sym);
+    return pimRelaxation(*sym, sweep, "wcc", *this, params_);
 }
 
 BaselineReport

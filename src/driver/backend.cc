@@ -1,7 +1,6 @@
 #include "backend.hh"
 
-#include "algorithms/pagerank.hh"
-#include "driver/golden_cache.hh"
+#include "algorithms/golden_cache.hh"
 #include "graphr/node.hh"
 
 namespace graphr::driver
@@ -224,7 +223,7 @@ runBaseline(Model &model, const std::string &backend_name,
         // Cached: a `--backend all` sweep computes the golden
         // iteration count once, not once per baseline backend.
         const std::shared_ptr<const PageRankResult> golden =
-            cachedGoldenPageRank(graph, workload.params.pagerank);
+            goldenPageRank(graph, workload.params.pagerank);
         result.absorb(model.runPageRank(
             graph, static_cast<std::uint64_t>(golden->iterations)));
         break;

@@ -158,8 +158,8 @@ resolveDataset(const std::string &spec, double scale, std::uint64_t seed)
         throw DriverError("dataset scale must be >= 1");
 
     // Explicit file prefix or a path-looking spec.
-    if (spec.starts_with("file:"))
-        return loadFile(spec.substr(5));
+    if (isFileSpec(spec))
+        return loadFile(spec.starts_with("file:") ? spec.substr(5) : spec);
 
     const std::size_t colon = spec.find(':');
     const std::string kind =
@@ -168,10 +168,6 @@ resolveDataset(const std::string &spec, double scale, std::uint64_t seed)
         colon == std::string::npos
             ? ParamMap{}
             : ParamMap::parse(spec.substr(colon + 1));
-
-    if (colon == std::string::npos &&
-        spec.find('/') != std::string::npos)
-        return loadFile(spec);
 
     if (const DatasetInfo *info = findTableEntry(kind)) {
         // Table names take spec-level scale/seed overrides:
@@ -191,6 +187,14 @@ resolveDataset(const std::string &spec, double scale, std::uint64_t seed)
     }
 
     return resolveGenerator(kind, params, seed);
+}
+
+bool
+isFileSpec(const std::string &spec)
+{
+    return spec.starts_with("file:") ||
+           (spec.find(':') == std::string::npos &&
+            spec.find('/') != std::string::npos);
 }
 
 std::vector<std::string>

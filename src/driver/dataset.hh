@@ -54,6 +54,13 @@ ResolvedDataset resolveDataset(const std::string &spec,
                                double scale = 1.0,
                                std::uint64_t seed = 42);
 
+/**
+ * True when @p spec names a file ("file:path", or a spec without ':'
+ * that contains a '/'): its graph is whatever the file holds when it
+ * is read, not a function of the spec.
+ */
+bool isFileSpec(const std::string &spec);
+
 /** Table-3 dataset names ("wiki-vote", ...) the resolver accepts. */
 std::vector<std::string> knownDatasetNames();
 

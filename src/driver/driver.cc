@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/thread_pool.hh"
+#include "driver/dataset_cache.hh"
 #include "graphr/engine/plan_cache.hh"
 
 namespace graphr::driver
@@ -66,10 +67,12 @@ announceRun(std::ostream *progress, std::mutex &progress_mutex,
 }
 
 /**
- * Per-sweep dataset memo: each distinct dataset spec is resolved by
+ * Per-sweep dataset memo: each distinct dataset spec is looked up by
  * exactly one worker (std::call_once); everyone else blocks on that
- * slot instead of re-generating the graph. A resolution error is
- * captured and rethrown to every requester.
+ * slot. The slot holds its dataset for the whole sweep, so a sweep
+ * over more datasets than the process-wide cache keeps still resolves
+ * each one once. A resolution error is captured and rethrown to every
+ * requester.
  */
 struct DatasetSlot
 {
@@ -108,9 +111,8 @@ runSweepParallel(const SweepSpec &spec,
         DatasetSlot &slot = slots[d];
         std::call_once(slot.once, [&spec, &slot, d] {
             try {
-                slot.value = std::make_shared<const ResolvedDataset>(
-                    resolveDataset(spec.datasets[d], spec.scale,
-                                   spec.seed));
+                slot.value = sharedDataset(spec.datasets[d], spec.scale,
+                                           spec.seed);
             } catch (...) {
                 slot.error = std::current_exception();
             }
@@ -215,11 +217,11 @@ runOne(const RunSpec &spec)
 {
     installPlanStore(spec.store);
     const Workload workload = makeWorkload(spec.workload, spec.params);
-    const ResolvedDataset dataset =
-        resolveDataset(spec.dataset, spec.scale, spec.seed);
+    const std::shared_ptr<const ResolvedDataset> dataset =
+        sharedDataset(spec.dataset, spec.scale, spec.seed);
     const std::unique_ptr<Backend> backend =
         makeBackend(spec.backend, spec.backendOptions);
-    return backend->run(workload, dataset);
+    return backend->run(workload, *dataset);
 }
 
 std::vector<RunResult>
@@ -252,13 +254,13 @@ runSweep(const SweepSpec &spec, std::ostream *progress)
     std::vector<RunResult> results;
     std::mutex progress_mutex;
     for (const std::string &dataset_spec : spec.datasets) {
-        const ResolvedDataset dataset =
-            resolveDataset(dataset_spec, spec.scale, spec.seed);
+        const std::shared_ptr<const ResolvedDataset> dataset =
+            sharedDataset(dataset_spec, spec.scale, spec.seed);
         for (const Workload &workload : workloads) {
             for (const std::unique_ptr<Backend> &backend : backends) {
                 announceRun(progress, progress_mutex, workload.name,
-                            backend->name(), dataset.name);
-                results.push_back(backend->run(workload, dataset));
+                            backend->name(), dataset->name);
+                results.push_back(backend->run(workload, *dataset));
             }
         }
     }

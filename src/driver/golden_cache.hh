@@ -1,50 +1,32 @@
 /**
  * @file
- * Golden-result cache for the workload driver.
+ * The driver's view of the golden-result cache.
  *
- * The three baseline backends (cpu/gpu/pim) take their PageRank
- * iteration count from the golden run so every backend converges
- * identically. Before this cache, a `--backend all` sweep recomputed
- * that golden PageRank once per baseline; now it is computed once per
- * (graph, parameters) and shared — the ROADMAP's "redundant golden
- * recomputation" open item.
- *
- * Keyed by the graph fingerprint (engine/tile_plan.hh) plus the
- * PageRank parameters, so any dataset spec that resolves to the same
- * graph shares one entry. Entries are shared_ptrs: eviction never
- * invalidates a result a caller still holds.
+ * The cache itself lives beside the algorithms
+ * (algorithms/golden_cache.hh), where the GraphR-family runners and
+ * the baseline backends share it without depending on the driver.
+ * This header keeps the driver-level names that the service, the perf
+ * suites and the tests reset and report through.
  */
 
 #ifndef GRAPHR_DRIVER_GOLDEN_CACHE_HH
 #define GRAPHR_DRIVER_GOLDEN_CACHE_HH
 
-#include <cstdint>
-#include <memory>
-
-#include "algorithms/pagerank.hh"
-#include "graph/coo.hh"
+#include "algorithms/golden_cache.hh"
 
 namespace graphr::driver
 {
 
-/** Hit/miss counters of the golden PageRank cache. */
-struct GoldenCacheStats
+using graphr::GoldenCacheStats;
+using graphr::goldenCacheStats;
+
+/** Drop every golden result and symmetrised graph; reset the stats.
+ *  The dataset cache (driver/dataset_cache.hh) is left alone. */
+inline void
+clearGoldenCache()
 {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-};
-
-/**
- * Golden PageRank for (graph, params), computed once per key and
- * memoised process-wide.
- */
-std::shared_ptr<const PageRankResult>
-cachedGoldenPageRank(const CooGraph &graph, const PageRankParams &params);
-
-GoldenCacheStats goldenCacheStats();
-
-/** Drop all entries and reset the statistics. */
-void clearGoldenCache();
+    graphr::clearGoldenCache();
+}
 
 } // namespace graphr::driver
 

@@ -1,9 +1,7 @@
 #include "tile_plan.hh"
 
-#include <bit>
 #include <utility>
 
-#include "common/checksum.hh"
 #include "common/logging.hh"
 
 namespace graphr
@@ -42,16 +40,7 @@ TilePlan::TilePlan(VertexId num_vertices, const TilingParams &tiling,
 std::uint64_t
 graphFingerprint(const CooGraph &graph)
 {
-    Fnv1a64 h;
-    h.updateWord(graph.numVertices());
-    h.updateWord(graph.numEdges());
-    for (const Edge &e : graph.edges()) {
-        h.updateWord((static_cast<std::uint64_t>(e.src) << 32) |
-                     static_cast<std::uint64_t>(e.dst));
-        h.updateWord(std::bit_cast<std::uint64_t>(
-            static_cast<double>(e.weight)));
-    }
-    return h.digest();
+    return graph.fingerprint();
 }
 
 } // namespace graphr

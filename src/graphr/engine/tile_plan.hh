@@ -72,9 +72,9 @@ using TilePlanPtr = std::shared_ptr<const TilePlan>;
 
 /**
  * Order-sensitive 64-bit FNV-1a fingerprint of a graph (vertex count,
- * edge count, every edge's endpoints and weight bits). O(E), which is
- * the price of a cache lookup — cheap next to the O(E log E) sort it
- * avoids on a hit.
+ * edge count, every edge's endpoints and weight bits): the key of
+ * every plan-level cache. Forwards to CooGraph::fingerprint(), so the
+ * O(E) hash runs once per graph, not once per lookup.
  */
 std::uint64_t graphFingerprint(const CooGraph &graph);
 

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "algorithms/traversal.hh"
-#include "algorithms/wcc.hh"
+#include "algorithms/golden_cache.hh"
 #include "common/logging.hh"
 
 namespace graphr
@@ -106,9 +105,10 @@ MultiNodeGraphR::runPageRank(const CooGraph &graph,
 {
     // Iteration count from the golden run (identical convergence on
     // every partitioning).
-    const PageRankResult golden = pagerank(graph, params);
+    const std::shared_ptr<const PageRankResult> golden =
+        goldenPageRank(graph, params);
     return runSweeps(graph,
-                     static_cast<std::uint64_t>(golden.iterations),
+                     static_cast<std::uint64_t>(golden->iterations),
                      spmvSweep, /*props_per_vertex=*/1.0);
 }
 
@@ -122,18 +122,20 @@ MultiNodeGraphR::runSpmv(const CooGraph &graph)
 MultiNodeReport
 MultiNodeGraphR::runBfs(const CooGraph &graph, VertexId source)
 {
-    const TraversalResult golden = bfs(graph, source);
+    const std::shared_ptr<const TraversalResult> golden =
+        goldenBfs(graph, source);
     return runSweeps(graph,
-                     static_cast<std::uint64_t>(golden.iterations),
+                     static_cast<std::uint64_t>(golden->iterations),
                      spmvSweep, /*props_per_vertex=*/1.0);
 }
 
 MultiNodeReport
 MultiNodeGraphR::runSssp(const CooGraph &graph, VertexId source)
 {
-    const TraversalResult golden = sssp(graph, source);
+    const std::shared_ptr<const TraversalResult> golden =
+        goldenSssp(graph, source);
     return runSweeps(graph,
-                     static_cast<std::uint64_t>(golden.iterations),
+                     static_cast<std::uint64_t>(golden->iterations),
                      spmvSweep, /*props_per_vertex=*/1.0);
 }
 
@@ -142,9 +144,9 @@ MultiNodeGraphR::runWcc(const CooGraph &graph)
 {
     // Labels propagate over the symmetrised edge set; each node owns
     // the symmetrised edges of its destination stripe.
-    const CooGraph sym = symmetrize(graph);
-    const WccResult golden = wcc(graph);
-    return runSweeps(sym, static_cast<std::uint64_t>(golden.iterations),
+    const std::shared_ptr<const CooGraph> sym = sharedSymmetrized(graph);
+    const std::shared_ptr<const WccResult> golden = goldenWcc(graph);
+    return runSweeps(*sym, static_cast<std::uint64_t>(golden->iterations),
                      spmvSweep, /*props_per_vertex=*/1.0);
 }
 

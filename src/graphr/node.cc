@@ -3,9 +3,9 @@
 #include <cmath>
 #include <utility>
 
+#include "algorithms/golden_cache.hh"
 #include "algorithms/spmv.hh"
 #include "algorithms/traversal.hh"
-#include "algorithms/wcc.hh"
 #include "common/logging.hh"
 #include "graphr/engine/plan_cache.hh"
 
@@ -91,9 +91,11 @@ GraphRNode::runPageRank(const CooGraph &graph,
                 break;
         }
     } else {
-        const PageRankResult golden = pagerank(graph, params);
-        iterations = static_cast<std::uint64_t>(golden.iterations);
-        ranks = golden.ranks;
+        const std::shared_ptr<const PageRankResult> golden =
+            goldenPageRank(graph, params);
+        iterations = static_cast<std::uint64_t>(golden->iterations);
+        if (ranks_out != nullptr)
+            ranks = golden->ranks;
     }
 
     spec.sweeps = iterations;
@@ -124,7 +126,7 @@ GraphRNode::runSpmv(const CooGraph &graph, const std::vector<Value> &x,
         };
         y.assign(graph.numVertices(), 0.0);
         exec.functionalMacSweep(spec, x, y);
-    } else {
+    } else if (y_out != nullptr) {
         y = spmv(graph, x);
     }
 
@@ -174,19 +176,19 @@ GraphRNode::runWcc(const CooGraph &graph,
                    std::vector<VertexId> *labels_out)
 {
     // Min-label propagation needs both edge directions.
-    const CooGraph sym = symmetrize(graph);
-    TileExecutor exec = makeExecutor(sym);
+    const std::shared_ptr<const CooGraph> sym = sharedSymmetrized(graph);
+    TileExecutor exec = makeExecutor(*sym);
 
     AddOpSpec spec;
-    spec.initLabels.resize(sym.numVertices());
-    for (VertexId v = 0; v < sym.numVertices(); ++v)
+    spec.initLabels.resize(sym->numVertices());
+    for (VertexId v = 0; v < sym->numVertices(); ++v)
         spec.initLabels[v] = static_cast<Value>(v);
-    spec.initActive.assign(sym.numVertices(), true);
+    spec.initActive.assign(sym->numVertices(), true);
     spec.mode = WeightMode::kZero;
 
     std::vector<Value> labels;
     SimReport report =
-        exec.addOpRun(sym, spec, "wcc",
+        exec.addOpRun(*sym, spec, "wcc",
                       labels_out != nullptr ? &labels : nullptr);
     lastStats_ = exec.stats();
     if (labels_out != nullptr) {

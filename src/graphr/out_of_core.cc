@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "algorithms/traversal.hh"
-#include "algorithms/wcc.hh"
+#include "algorithms/golden_cache.hh"
 #include "common/logging.hh"
 #include "graphr/engine/plan_cache.hh"
 
@@ -162,9 +161,9 @@ OutOfCoreRunner::runWcc(const CooGraph &graph)
     GraphRNode node(config_);
     SimReport sim = node.runWcc(graph);
 
-    const CooGraph sym = symmetrize(graph);
-    RelaxationSweep sweep = makeWccSweep(sym);
-    return selectiveRounds(sym, std::move(sim), sweep);
+    const std::shared_ptr<const CooGraph> sym = sharedSymmetrized(graph);
+    RelaxationSweep sweep = makeWccSweep(*sym);
+    return selectiveRounds(*sym, std::move(sim), sweep);
 }
 
 } // namespace graphr

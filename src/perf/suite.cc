@@ -13,6 +13,7 @@
 #include "client/client.hh"
 #include "common/json.hh"
 #include "driver/dataset.hh"
+#include "driver/dataset_cache.hh"
 #include "driver/driver.hh"
 #include "driver/golden_cache.hh"
 #include "graphr/engine/plan_cache.hh"
@@ -168,10 +169,12 @@ class ScratchStoreDir
     std::string path_;
 };
 
-/** Drop every process-wide warm level (memory only, not the store). */
+/** Drop every process-wide warm level (memory only, not the store):
+ *  resolved datasets, plans, golden results and symmetrised graphs. */
 void
 dropCaches()
 {
+    driver::clearDatasetCache();
     PlanCache::instance().clear();
     driver::clearGoldenCache();
 }
@@ -349,6 +352,14 @@ serveScenario(SuiteBuilder &b, const std::string &prefix,
              "higher");
     b.scalar(prefix + ".warm_sorts_per_rep",
              warm.perRep("preprocess.sorts"), "count", true);
+    // A warm request pays for its graph once per process: no
+    // re-resolve, no re-hash, no golden recomputation.
+    b.scalar(prefix + ".warm_resolves_per_rep",
+             warm.perRep("dataset_cache.misses"), "count", true);
+    b.scalar(prefix + ".warm_fingerprints_per_rep",
+             warm.perRep("graph.fingerprints"), "count", true);
+    b.scalar(prefix + ".warm_golden_runs_per_rep",
+             warm.perRep("golden.runs"), "count", true);
 
     const RepStats cold =
         b.timed(prefix + ".cold_wall_s", [&one_request] {

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/json.hh"
+#include "driver/dataset_cache.hh"
 #include "driver/golden_cache.hh"
 #include "graphr/engine/plan_cache.hh"
 #include "perf/counters.hh"
@@ -629,6 +630,15 @@ Server::statusTextLocked(const std::string &id) const
                 static_cast<double>(latency.quantile(0.5)) / 1e6);
         w.field("max_ms",
                 static_cast<double>(latency.max()) / 1e6);
+        w.endObject();
+
+        const LruCacheStats dataset = driver::datasetCacheStats();
+        w.key("dataset_cache");
+        w.beginObject();
+        w.field("hits", dataset.hits);
+        w.field("misses", dataset.misses);
+        w.field("entries", static_cast<std::uint64_t>(
+                               driver::datasetCacheSize()));
         w.endObject();
 
         const PlanCache::Stats plan = PlanCache::instance().stats();

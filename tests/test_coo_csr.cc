@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "graph/coo.hh"
 #include "graph/csr.hh"
+#include "perf/counters.hh"
 
 namespace graphr
 {
@@ -130,6 +133,63 @@ TEST(CsrTest, InNeighborsMatchEdges)
             present |= adj.neighbor == e.src;
         EXPECT_TRUE(present);
     }
+}
+
+// ------------------------------------------------- fingerprint memo
+
+/** The fingerprint of @p g's current content, from a fresh graph
+ *  that has no memo yet. */
+std::uint64_t
+freshFingerprint(const CooGraph &g)
+{
+    return CooGraph(g.numVertices(),
+                    std::vector<Edge>(g.edges().begin(), g.edges().end()))
+        .fingerprint();
+}
+
+std::uint64_t
+hashesDone()
+{
+    return perf::Registry::instance().counter("graph.fingerprints").value();
+}
+
+TEST(CooFingerprintTest, MemoisedUntilTheNextMutation)
+{
+    const CooGraph g = paperGraph();
+    const std::uint64_t before = hashesDone();
+    const std::uint64_t fp = g.fingerprint();
+    EXPECT_EQ(g.fingerprint(), fp);
+    EXPECT_EQ(hashesDone() - before, 1u);
+
+    // A copy shares the memo; a moved-from graph drops it.
+    CooGraph copy = g;
+    EXPECT_EQ(copy.fingerprint(), fp);
+    EXPECT_EQ(hashesDone() - before, 1u);
+    const CooGraph moved = std::move(copy);
+    EXPECT_EQ(moved.fingerprint(), fp);
+    EXPECT_EQ(copy.fingerprint(), freshFingerprint(copy));
+}
+
+TEST(CooFingerprintTest, EveryMutatorInvalidatesTheMemo)
+{
+    const auto expect_invalidated = [](const char *what, auto mutate) {
+        CooGraph g = paperGraph();
+        g.addEdge(2, 2); // a self loop and a duplicate to remove
+        g.addEdge(0, 2);
+        const std::uint64_t stale = g.fingerprint();
+        mutate(g);
+        EXPECT_NE(g.fingerprint(), stale) << what;
+        EXPECT_EQ(g.fingerprint(), freshFingerprint(g)) << what;
+    };
+    expect_invalidated("addEdge", [](CooGraph &g) { g.addEdge(1, 0); });
+    expect_invalidated("sortBySource",
+                       [](CooGraph &g) { g.sortBySource(); });
+    expect_invalidated("dedupe", [](CooGraph &g) { g.dedupe(); });
+    expect_invalidated("removeSelfLoops",
+                       [](CooGraph &g) { g.removeSelfLoops(); });
+    expect_invalidated("mutableEdges", [](CooGraph &g) {
+        g.mutableEdges().front().weight = 3.0;
+    });
 }
 
 TEST(CsrTest, WeightsPreserved)

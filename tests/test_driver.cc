@@ -15,6 +15,7 @@
 #include <sstream>
 
 #include "driver/cli.hh"
+#include "driver/dataset_cache.hh"
 #include "driver/driver.hh"
 #include "driver/run_result.hh"
 
@@ -272,6 +273,82 @@ TEST(DatasetResolverTest, FileRoundTrip)
     EXPECT_EQ(ds.graph.numVertices(), 4u);
     EXPECT_EQ(ds.graph.numEdges(), 3u);
     EXPECT_EQ(ds.name, "driver_test_graph.txt");
+}
+
+// ------------------------------------------------------- dataset cache
+
+TEST(DatasetCacheTest, RepeatLookupSharesOneResolve)
+{
+    clearDatasetCache();
+    const std::string spec = "rmat:vertices=64,edges=256,seed=2";
+    const auto first = sharedDataset(spec);
+    const auto second = sharedDataset(spec);
+    EXPECT_EQ(first.get(), second.get());
+    EXPECT_EQ(datasetCacheStats().misses, 1u);
+    EXPECT_EQ(datasetCacheStats().hits, 1u);
+    // Scale and seed are part of the key.
+    EXPECT_NE(sharedDataset(spec, 1.0, 7).get(), first.get());
+    EXPECT_EQ(datasetCacheStats().misses, 2u);
+    clearDatasetCache();
+}
+
+TEST(DatasetCacheTest, RewrittenFileIsReRead)
+{
+    clearDatasetCache();
+    const std::string path =
+        ::testing::TempDir() + "/driver_cache_graph.txt";
+    RunSpec spec;
+    spec.dataset = "file:" + path;
+    {
+        std::ofstream out(path);
+        out << "# vertices: 4\n0 1\n1 2\n2 3\n";
+    }
+    EXPECT_EQ(runOne(spec).edges, 3u);
+    {
+        std::ofstream out(path);
+        out << "# vertices: 4\n0 1\n1 2\n2 3\n3 0\n";
+    }
+    EXPECT_EQ(runOne(spec).edges, 4u);
+    // File specs bypass the cache altogether.
+    EXPECT_EQ(datasetCacheSize(), 0u);
+    EXPECT_EQ(datasetCacheStats().misses, 0u);
+}
+
+TEST(DatasetCacheTest, FailedResolveIsNotCached)
+{
+    clearDatasetCache();
+    const auto error_of = [] {
+        try {
+            sharedDataset("rmat:vertices=64,degree=4");
+        } catch (const DriverError &err) {
+            return std::string(err.what());
+        }
+        return std::string("no error");
+    };
+    const std::string first = error_of();
+    EXPECT_NE(first.find("degree"), std::string::npos) << first;
+    EXPECT_EQ(error_of(), first);
+    EXPECT_EQ(datasetCacheSize(), 0u);
+    EXPECT_EQ(datasetCacheStats().misses, 2u); // tried again, not replayed
+}
+
+TEST(DatasetCacheTest, SweepBeyondCapacityResolvesEachDatasetOnce)
+{
+    SweepSpec spec;
+    spec.workloads = {"pagerank", "wcc"};
+    spec.backends = {"graphr", "cpu"};
+    for (std::size_t i = 0; i < kDatasetCacheCapacity + 2; ++i)
+        spec.datasets.push_back("chain:n=" + std::to_string(8 + i));
+    for (const unsigned jobs : {1u, 4u}) {
+        clearDatasetCache();
+        spec.jobs = jobs;
+        const std::vector<RunResult> results = runSweep(spec);
+        EXPECT_EQ(results.size(), spec.datasets.size() * 4);
+        EXPECT_EQ(datasetCacheStats().misses, spec.datasets.size())
+            << "jobs=" << jobs;
+        EXPECT_EQ(datasetCacheSize(), kDatasetCacheCapacity);
+    }
+    clearDatasetCache();
 }
 
 // ------------------------------------------------------------------ CLI

@@ -449,9 +449,9 @@ TEST(GoldenCacheTest, DistinctParamsMiss)
     PageRankParams a;
     PageRankParams b;
     b.maxIterations = a.maxIterations + 1;
-    driver::cachedGoldenPageRank(g, a);
-    driver::cachedGoldenPageRank(g, b);
-    driver::cachedGoldenPageRank(g, a);
+    goldenPageRank(g, a);
+    goldenPageRank(g, b);
+    goldenPageRank(g, a);
     EXPECT_EQ(driver::goldenCacheStats().misses, 2u);
     EXPECT_EQ(driver::goldenCacheStats().hits, 1u);
 }

@@ -22,6 +22,7 @@
 #include "client/client.hh"
 #include "common/failpoint.hh"
 #include "common/json_reader.hh"
+#include "driver/dataset_cache.hh"
 #include "driver/golden_cache.hh"
 #include "graphr/engine/plan_cache.hh"
 #include "net/event_loop.hh"
@@ -165,6 +166,7 @@ class NetServeTest : public ::testing::Test
     resetCaches()
     {
         PlanCache::instance().setStore(nullptr);
+        driver::clearDatasetCache();
         PlanCache::instance().clear();
         driver::clearGoldenCache();
         perf::Registry::instance().resetAll();
@@ -225,6 +227,7 @@ expectConnectionsMatchBlocking(std::uint32_t jobs)
     const std::string expected = blockingStream();
     ASSERT_FALSE(expected.empty());
 
+    driver::clearDatasetCache();
     PlanCache::instance().clear();
     driver::clearGoldenCache();
     perf::Registry::instance().resetAll();

@@ -16,11 +16,13 @@
 
 #include "common/lru_cache.hh"
 #include "common/thread_pool.hh"
+#include "driver/dataset_cache.hh"
 #include "driver/driver.hh"
 #include "driver/golden_cache.hh"
 #include "driver/run_result.hh"
 #include "graph/generator.hh"
 #include "graphr/engine/plan_cache.hh"
+#include "perf/counters.hh"
 
 namespace graphr
 {
@@ -161,7 +163,7 @@ TEST(ParallelCacheTest, GoldenCacheHammering)
             threads.emplace_back([&, t] {
                 for (int i = 0; i < 10; ++i) {
                     results[static_cast<std::size_t>(t)] =
-                        driver::cachedGoldenPageRank(graph, params);
+                        goldenPageRank(graph, params);
                 }
             });
         }
@@ -173,6 +175,74 @@ TEST(ParallelCacheTest, GoldenCacheHammering)
     for (int t = 1; t < kThreads; ++t)
         EXPECT_EQ(results[static_cast<std::size_t>(t)].get(),
                   results[0].get());
+    driver::clearGoldenCache();
+}
+
+/** Run @p body on kThreads threads at once; results by thread. */
+template <typename Body>
+auto
+onThreads(Body body)
+{
+    constexpr int kThreads = 8;
+    std::vector<decltype(body())> results(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&results, &body, t] {
+            results[static_cast<std::size_t>(t)] = body();
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    return results;
+}
+
+TEST(ParallelCacheTest, ConcurrentRequestsForOneDatasetResolveOnce)
+{
+    driver::clearDatasetCache();
+    const auto datasets = onThreads([] {
+        return driver::sharedDataset("rmat:vertices=128,edges=512,seed=8");
+    });
+    EXPECT_EQ(driver::datasetCacheStats().misses, 1u);
+    for (const auto &dataset : datasets)
+        EXPECT_EQ(dataset.get(), datasets[0].get());
+    driver::clearDatasetCache();
+}
+
+TEST(ParallelCacheTest, ConcurrentFingerprintsHashOnce)
+{
+    const CooGraph graph =
+        makeRmat({.numVertices = 128, .numEdges = 512, .seed = 19});
+    perf::Counter &hashes =
+        perf::Registry::instance().counter("graph.fingerprints");
+    const std::uint64_t before = hashes.value();
+    const auto fingerprints =
+        onThreads([&graph] { return graph.fingerprint(); });
+    for (const std::uint64_t fp : fingerprints)
+        EXPECT_EQ(fp, fingerprints[0]);
+    // Racing first callers may each hash; after that the memo holds.
+    const std::uint64_t raced = hashes.value() - before;
+    EXPECT_GE(raced, 1u);
+    EXPECT_LE(raced, fingerprints.size());
+    EXPECT_EQ(graph.fingerprint(), fingerprints[0]);
+    EXPECT_EQ(hashes.value() - before, raced);
+}
+
+TEST(ParallelCacheTest, SymmetrizedGraphAndGoldenWccBuiltOnce)
+{
+    driver::clearGoldenCache();
+    const CooGraph graph =
+        makeRmat({.numVertices = 128, .numEdges = 512, .seed = 23});
+    const auto syms =
+        onThreads([&graph] { return sharedSymmetrized(graph); });
+    for (const auto &sym : syms)
+        EXPECT_EQ(sym.get(), syms[0].get());
+    EXPECT_EQ(syms[0]->numEdges(), symmetrize(graph).numEdges());
+
+    const auto labels = onThreads([&graph] { return goldenWcc(graph); });
+    for (const auto &result : labels)
+        EXPECT_EQ(result.get(), labels[0].get());
+    EXPECT_EQ(driver::goldenCacheStats().misses, 1u);
+    EXPECT_EQ(labels[0]->labels, wccUnionFind(graph).labels);
     driver::clearGoldenCache();
 }
 

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -18,6 +20,7 @@
 
 #include "common/json_reader.hh"
 #include "driver/driver.hh"
+#include "driver/dataset_cache.hh"
 #include "driver/golden_cache.hh"
 #include "graph/preprocess.hh"
 #include "graphr/engine/plan_cache.hh"
@@ -52,6 +55,7 @@ class ServeTest : public ::testing::Test
     resetCaches()
     {
         PlanCache::instance().setStore(nullptr);
+        driver::clearDatasetCache();
         PlanCache::instance().clear();
         driver::clearGoldenCache();
         // The status latency summary reads the process-wide perf
@@ -242,6 +246,91 @@ TEST_F(ServeTest, WarmRepeatRequestHitsThePlanCacheAndSkipsTheSort)
     const JsonValue v = parsedResponse(status[0]);
     EXPECT_GE(v.find("plan_cache")->find("hits")->asU64(), 1u);
     EXPECT_EQ(v.find("served")->find("completed")->asU64(), 2u);
+}
+
+/** One response line per request, through the connection seam. */
+std::string
+handleOne(service::Server &server, const std::string &line)
+{
+    std::mutex mutex;
+    std::condition_variable ready;
+    std::vector<std::string> responses;
+    const service::Server::SessionPtr session =
+        server.openSession([&](std::string &&text) {
+            const std::lock_guard<std::mutex> lock(mutex);
+            responses.push_back(std::move(text));
+            ready.notify_one();
+        });
+    server.handleLine(session, line);
+    std::unique_lock<std::mutex> lock(mutex);
+    ready.wait(lock, [&responses] { return !responses.empty(); });
+    const std::string response = responses.front();
+    lock.unlock();
+    server.closeSession(session);
+    return response;
+}
+
+std::uint64_t
+counterValue(const char *name)
+{
+    return perf::Registry::instance().counter(name).value();
+}
+
+TEST_F(ServeTest, WarmRepeatRequestPaysForNoResolveHashOrGoldenRun)
+{
+    // A request per path that used to regenerate per request: the
+    // golden PageRank (outofcore), the symmetrised graph (wcc, also
+    // on a baseline) and the plain plan lookup (sssp).
+    const std::string dataset = "rmat:vertices=256,edges=2048,seed=4";
+    std::vector<std::string> requests;
+    const std::pair<const char *, const char *> combos[] = {
+        {"pagerank", "outofcore"},
+        {"wcc", "outofcore"},
+        {"wcc", "cpu"},
+        {"sssp", "graphr"},
+    };
+    for (const auto &[workload, backend] : combos) {
+        requests.push_back(std::string(R"({"id":"w","type":"run",)") +
+                           R"("workload":")" + workload +
+                           R"(","backend":")" + backend +
+                           R"(","dataset":")" + dataset + R"("})");
+    }
+
+    std::vector<std::string> cold;
+    for (const std::string &request : requests) {
+        resetCaches();
+        service::Server server({});
+        cold.push_back(handleOne(server, request));
+    }
+
+    resetCaches();
+    service::Server server({});
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const std::string first = handleOne(server, requests[i]);
+        const std::uint64_t resolves = counterValue("dataset_cache.misses");
+        const std::uint64_t hashes = counterValue("graph.fingerprints");
+        const std::uint64_t golden = counterValue("golden.runs");
+        const std::string second = handleOne(server, requests[i]);
+        EXPECT_EQ(counterValue("dataset_cache.misses"), resolves)
+            << requests[i];
+        EXPECT_EQ(counterValue("graph.fingerprints"), hashes)
+            << requests[i];
+        EXPECT_EQ(counterValue("golden.runs"), golden) << requests[i];
+        EXPECT_NE(first.find("\"ok\":true"), std::string::npos) << first;
+        EXPECT_EQ(second, first);
+        EXPECT_EQ(first, cold[i]);
+    }
+    // The first request resolved the graph; every later one hit.
+    EXPECT_EQ(counterValue("dataset_cache.misses"), 1u);
+    EXPECT_EQ(counterValue("dataset_cache.hits"), 2 * requests.size() - 1);
+
+    const JsonValue status = parsedResponse(
+        handleOne(server, R"({"id":"q","type":"status"})"));
+    const JsonValue *datasets = status.find("dataset_cache");
+    ASSERT_NE(datasets, nullptr);
+    EXPECT_EQ(datasets->find("misses")->asU64(), 1u);
+    EXPECT_EQ(datasets->find("hits")->asU64(), 2 * requests.size() - 1);
+    EXPECT_EQ(datasets->find("entries")->asU64(), 1u);
 }
 
 TEST_F(ServeTest, StatusReportsCumulativeRequestLatencySummary)
